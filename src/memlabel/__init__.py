@@ -10,7 +10,8 @@ from .bank import MemoryBank, RankList
 from .errors import (ConfigError, MemlabelError, NumericError, ParseError,
                      TrainingDiverged)
 from .labels import (CandidateSet, MultiLabel, filter_by_threshold,
-                     knn_predict, label_quality, mplp_predict,
+                     knn_labels, knn_predict, label_quality, mplp_labels,
+                     mplp_predict, similarity_score_labels,
                      similarity_score_predict, singleton_label)
 from .losses import (LossConfig, LossReport, compute_loss, gradient_sweep,
                      mcl_class_loss, mcl_tau_loss, mem_softmax_ce_loss,

@@ -9,6 +9,7 @@ environment variable overrides the output directory. Exit codes: 0 success,
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -50,10 +51,14 @@ def cmd_generate(args):
     return 0
 
 
+def _or_null(value):
+    return None if math.isnan(value) else value
+
+
 def cmd_train(args):
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    records, result = experiments.run_benchmark(cfg)
+    records, result = experiments.run_benchmark(cfg, with_truth=None)
     save_records(records, os.path.join(out, "dataset.csv"))
     result.bank.save(os.path.join(out, "bank.csv"))
     result.model.save(os.path.join(out, "model.npz"))
@@ -61,7 +66,8 @@ def cmd_train(args):
     write_metrics_log(result.metrics, os.path.join(out, "metrics.csv"))
     write_label_curve(label_curve(result.metrics), os.path.join(out, "label_curve.csv"))
     final = result.metrics[-1]
-    summary = {"rank1": final["rank1"], "mAP": final["mAP"],
+    # without ground truth rank1 and mAP stay NaN; JSON has null for that
+    summary = {"rank1": _or_null(final["rank1"]), "mAP": _or_null(final["mAP"]),
                "loss": final["loss"], "mean_positives": final["mean_positives"]}
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -24,4 +24,4 @@ class ParseError(MemlabelError):
 
 
 class TrainingDiverged(MemlabelError):
-    """Loss became non-finite; carries a diagnostic dump path when available."""
+    """Loss became non-finite; the message names the epoch and batch."""

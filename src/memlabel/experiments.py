@@ -6,6 +6,7 @@ evaluation hook, which reads a frozen copy of the training state each epoch.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -14,7 +15,9 @@ from .config import RunConfig
 from .data import generate, identities_of, load_records, observation_matrix
 from .errors import ConfigError
 from .evaluation import evaluate, split_for_benchmark
-from .labels import knn_predict, label_quality
+# knn_predict and label_quality are imported so that `experiments.<name>`
+# still resolves for callers and for perfbench/tracing.py, which wraps them here.
+from .labels import knn_labels, knn_predict, label_quality  # noqa: F401
 from .trainer import train
 
 SWEEP_FIELDS = {"t": "threshold", "delta": "delta", "r": "hard_ratio", "K": "knn_k"}
@@ -31,9 +34,19 @@ def _bank_is_warm(bank):
 
 
 def _mean_quality(labels, ids):
-    pairs = [label_quality(lab, ids) for lab in labels]
-    return (float(np.mean([p for p, _ in pairs])),
-            float(np.mean([r for _, r in pairs])))
+    """Mean `label_quality` precision and recall over all labels, computed
+    for every anchor at once."""
+    ids = np.asarray(ids)
+    sizes = np.array([len(lab.positives) for lab in labels])
+    anchors = np.array([lab.anchor for lab in labels])
+    positives = np.fromiter(itertools.chain.from_iterable(lab.positives for lab in labels),
+                            dtype=np.intp, count=int(sizes.sum()))
+    same = ids[positives] == np.repeat(ids[anchors], sizes)
+    hits = np.bincount(np.repeat(np.arange(len(labels)), sizes), weights=same,
+                       minlength=len(labels))
+    _, group, group_size = np.unique(ids, return_inverse=True, return_counts=True)
+    return (float(np.mean(hits / sizes)),
+            float(np.mean(hits / group_size[group[anchors]])))
 
 
 def make_eval_hook(records, knn_k=8):
@@ -52,8 +65,7 @@ def make_eval_hook(records, knn_k=8):
             "label_recall": recall,
         }
         if _bank_is_warm(state.bank):
-            knn_labels = [knn_predict(state.bank, i, knn_k) for i in range(state.bank.n)]
-            kp, kr = _mean_quality(knn_labels, ids)
+            kp, kr = _mean_quality(knn_labels(state.bank, knn_k), ids)
             row["knn_precision"] = kp
             row["knn_recall"] = kr
         return row
@@ -71,9 +83,13 @@ def run_benchmark(cfg, with_truth=True):
     """Train per the config on (generated or loaded) data.
 
     Returns (records, TrainResult). With `with_truth` the per-epoch metrics
-    include rank-1/mAP and label precision/recall.
+    include rank-1/mAP and label precision/recall; `with_truth=None` adds
+    them only when every record carries an identity, and otherwise leaves
+    them NaN.
     """
     records = load_or_generate(cfg)
+    if with_truth is None:
+        with_truth = all(r.identity is not None for r in records)
     obs = observation_matrix(records)
     hook = make_eval_hook(records, knn_k=cfg.knn_k) if with_truth else None
     result = train(obs, cfg.schedule(), cfg.loss_config(),

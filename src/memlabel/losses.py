@@ -11,13 +11,18 @@ Variants:
 
 Gradients are with respect to the batch features only; the bank is a constant.
 All batch losses are averaged over the minibatch.
+
+Hard-negative mining selects with the bank's ranking kernel
+(`bank.select_top_k`): `argpartition` plus a sort of the kept prefix, with
+the package's one tie rule (descending score, then ascending index). The
+sigmoid and softmax are computed in numpy in forms that cannot overflow.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, log_softmax, softmax
 
+from .bank import select_top_k
 from .errors import ConfigError
 
 VARIANTS = ("mcl", "mcl_tau", "mmcl", "mem_softmax_ce")
@@ -53,6 +58,19 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _sigmoid(x):
+    # 1 / (1 + e^-x) = exp(-log(1 + e^-x)); no exponent overflows
+    return np.exp(-_softplus(-x))
+
+
+def _softmax(scores):
+    """Row-wise (log-softmax, softmax); the row max is subtracted first."""
+    shifted = scores - np.max(scores, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
+    return shifted - np.log(total), e / total
+
+
 def mcl_class_loss(score, y, tau):
     """Logistic loss of one class: log(1 + exp(-y * score / tau))."""
     if tau <= 0:
@@ -77,12 +95,9 @@ def mine_hard_negatives(scores, label, hard_ratio):
     if n_neg == 0:
         raise ConfigError(f"sample {label.anchor} has no negative classes to mine")
     count = max(1, int(np.floor(n_neg * hard_ratio / 100.0)))
-    neg_mask = np.ones(n, dtype=bool)
-    neg_mask[pos] = False
-    neg_idx = np.flatnonzero(neg_mask)
-    # stable sort on negated scores keeps the ascending-index tie-break
-    order = np.argsort(-scores[neg_idx], kind="stable")
-    return neg_idx[order[:count]]
+    masked = np.array(scores, dtype=np.float64)
+    masked[pos] = -np.inf  # never among the count <= n_neg kept
+    return select_top_k(masked[None, :], count)[0]
 
 
 def mmcl_loss(feats, labels, bank, cfg):
@@ -126,7 +141,7 @@ def mcl_tau_loss(feats, labels, bank, cfg):
     z = -Y * scores / cfg.tau
     total = float(np.sum(_softplus(z)))
     # d/ds softplus(-y s / tau) = -(y / tau) * sigmoid(-y s / tau)
-    dscores = -(Y / cfg.tau) * expit(z)
+    dscores = -(Y / cfg.tau) * _sigmoid(z)
     grad = dscores @ bank.features
     return LossReport(value=total / B, grad=grad / B)
 
@@ -140,8 +155,7 @@ def mem_softmax_ce_loss(feats, labels, bank, cfg):
     feats = np.asarray(feats, dtype=np.float64)
     scores = bank.score_against_memory(feats) / cfg.tau
     B = feats.shape[0]
-    logq = log_softmax(scores, axis=1)
-    q = softmax(scores, axis=1)
+    logq, q = _softmax(scores)
     total = 0.0
     dscores = np.zeros_like(scores)
     for b, lab in enumerate(labels):
@@ -182,7 +196,7 @@ def single_class_grad_magnitude(variant, param, score, y=1.0):
         return abs(2.0 * param * (score - y))
     if variant in ("mcl", "mcl_tau"):
         tau = param
-        return float(expit(-y * score / tau) / tau)
+        return float(_sigmoid(-y * score / tau) / tau)
     raise ConfigError(f"no single-class gradient for variant {variant!r}")
 
 

@@ -12,8 +12,11 @@ import numpy as np
 
 from .bank import MemoryBank, ZERO_NORM_EPS
 from .errors import ConfigError, TrainingDiverged
-from .labels import (knn_predict, mplp_predict, similarity_score_predict,
-                     singleton_label)
+# The per-anchor predictors are imported so that `trainer.<name>` still
+# resolves for callers and for perfbench/tracing.py, which wraps them here.
+from .labels import (knn_labels, knn_predict, mplp_labels,  # noqa: F401
+                     mplp_predict, similarity_score_labels,
+                     similarity_score_predict, singleton_label)
 from .losses import LossConfig, compute_loss
 from .model import EmbeddingModel
 
@@ -94,11 +97,11 @@ def predict_labels(bank, cfg):
     if cfg.kind == "single":
         return [singleton_label(i, bank.n) for i in range(bank.n)]
     if cfg.kind == "mplp":
-        return [mplp_predict(bank, i, cfg.threshold) for i in range(bank.n)]
+        return mplp_labels(bank, cfg.threshold)
     if cfg.kind == "ss":
-        return [similarity_score_predict(bank, i, cfg.threshold) for i in range(bank.n)]
+        return similarity_score_labels(bank, cfg.threshold)
     if cfg.kind == "knn":
-        return [knn_predict(bank, i, cfg.k) for i in range(bank.n)]
+        return knn_labels(bank, cfg.k)
     raise ConfigError(f"unknown predictor {cfg.kind!r}")
 
 

@@ -114,3 +114,27 @@ def test_out_env_override(tmp_path, cfg_path, monkeypatch):
     monkeypatch.setenv("MEMLABEL_OUT", out)
     assert main(["generate", "--config", cfg_path]) == 0
     assert os.path.exists(os.path.join(out, "dataset.csv"))
+
+
+def test_train_on_unlabeled_dataset(tmp_path, cfg_path):
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+    lines = open(os.path.join(out, "dataset.csv")).read().splitlines()
+    unlabeled = tmp_path / "unlabeled.csv"
+    blank = [lines[0]] + [",".join([f[0], ""] + f[2:]) for f in
+                          (line.split(",") for line in lines[1:])]
+    unlabeled.write_text("\n".join(blank) + "\n")
+    cfg = tmp_path / "unlabeled.cfg"
+    cfg.write_text(SMALL_CFG + f"dataset = {unlabeled}\n")
+
+    assert main(["train", "--config", str(cfg), "--out", out]) == 0
+    for name in ("dataset.csv", "bank.csv", "model.npz", "labels.csv",
+                 "metrics.csv", "label_curve.csv", "summary.json"):
+        assert os.path.exists(os.path.join(out, name)), name
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert summary["rank1"] is None and summary["mAP"] is None
+    rows = open(os.path.join(out, "metrics.csv")).read().splitlines()
+    assert len(rows) == 1 + 6
+    for row in rows[1:]:
+        fields = row.split(",")
+        assert fields[2:6] == ["nan"] * 4  # label_precision .. mAP

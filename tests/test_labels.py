@@ -260,3 +260,20 @@ def test_labels_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_labels(path, 4)
     assert err.value.line == 2
+
+
+def test_mean_quality_matches_per_label_loop():
+    # experiments._mean_quality feeds metrics.csv, so it must equal the mean
+    # of per-label label_quality bit for bit
+    from memlabel.experiments import _mean_quality
+
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        ids = rng.integers(0, 5, size=n)
+        labels = [make_label(i, rng.choice(n, size=int(rng.integers(0, 6))), n)
+                  for i in range(n)]
+        pairs = [label_quality(lab, ids) for lab in labels]
+        expected = (float(np.mean([p for p, _ in pairs])),
+                    float(np.mean([r for _, r in pairs])))
+        assert _mean_quality(labels, ids) == expected
