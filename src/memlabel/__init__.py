@@ -14,8 +14,8 @@ from .labels import (CandidateSet, MultiLabel, filter_by_threshold,
                      mplp_predict, similarity_score_labels,
                      similarity_score_predict, singleton_label)
 from .losses import (LossConfig, LossReport, compute_loss, gradient_sweep,
-                     mcl_class_loss, mcl_tau_loss, mem_softmax_ce_loss,
-                     mine_hard_negatives, mmcl_class_loss, mmcl_loss)
+                     mcl_tau_loss, mem_softmax_ce_loss, mine_hard_negatives,
+                     mmcl_loss)
 from .model import EmbeddingModel
 from .trainer import (AugmentConfig, PredictorConfig, TrainSchedule, augment,
                       predict_labels, train)

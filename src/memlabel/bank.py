@@ -217,21 +217,35 @@ class MemoryBank:
 
     @classmethod
     def load(cls, path):
+        """Read a bank written by `save`; a malformed file raises ParseError
+        naming the line."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            if len(header) != 4:
-                raise ParseError(f"bad bank header: {header!r}", line=1)
-            n, d = int(header[0]), int(header[1])
-            bank = cls(n, d, update_rate=float(header[3]))
-            bank.epoch = int(header[2])
-            for i in range(n):
-                line = fh.readline()
-                if not line:
-                    raise ParseError("bank file truncated", line=i + 2)
-                vals = np.array([float(v) for v in line.strip().split(",")])
+            try:
+                n, d, epoch, rate = header
+                n, d, epoch, rate = int(n), int(d), int(epoch), float(rate)
+            except ValueError as exc:
+                raise ParseError(f"bad bank header: {header!r}", line=1) from exc
+            bank = cls(n, d, update_rate=rate)
+            bank.epoch = epoch
+            rows = 0
+            for lineno, line in enumerate(fh, start=2):
+                if rows == n:
+                    if line.strip():
+                        raise ParseError(f"more than the header's {n} bank rows", line=lineno)
+                    continue
+                try:
+                    vals = np.array([float(v) for v in line.strip().split(",")])
+                except ValueError as exc:
+                    raise ParseError(f"unparseable bank row ({exc})", line=lineno) from exc
                 if vals.shape != (d,):
-                    raise ParseError(
-                        f"bank row has {vals.size} values, expected {d}", line=i + 2
-                    )
-                bank.features[i] = vals
+                    raise ParseError(f"bank row has {vals.size} values, expected {d}",
+                                     line=lineno)
+                bank.features[rows] = vals
+                rows += 1
+        if rows < n:
+            raise ParseError("bank file truncated", line=rows + 2)
+        finite = np.isfinite(bank.features).all(axis=1)
+        if not finite.all():
+            raise ParseError("non-finite bank value", line=int(np.argmin(finite)) + 2)
         return bank

@@ -7,7 +7,6 @@ environment variable overrides the output directory. Exit codes: 0 success,
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -29,10 +28,8 @@ from .data import import_features, observation_matrix
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    seed = {} if args.seed is None else {"seed": args.seed}
+    return load_config(args.config, **seed) if args.config else RunConfig(**seed)
 
 
 def _out_dir(args):
@@ -64,7 +61,8 @@ def cmd_train(args):
     result.model.save(os.path.join(out, "model.npz"))
     save_labels(result.labels, os.path.join(out, "labels.csv"))
     write_metrics_log(result.metrics, os.path.join(out, "metrics.csv"))
-    write_label_curve(label_curve(result.metrics), os.path.join(out, "label_curve.csv"))
+    write_label_curve(label_curve(result.metrics, cfg.predictor),
+                      os.path.join(out, "label_curve.csv"))
     final = result.metrics[-1]
     # without ground truth rank1 and mAP stay NaN; JSON has null for that
     summary = {"rank1": _or_null(final["rank1"]), "mAP": _or_null(final["mAP"]),

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, require
 
 _RESAMPLE_LIMIT = 2000
 
@@ -32,18 +32,19 @@ class SyntheticSpec:
             return [self.samples_per_identity] * self.identities
         return list(self.samples_per_identity)
 
-    def validate(self):
-        if self.identities < 2:
-            raise ConfigError("need at least 2 identities")
-        counts = self.counts()
-        if len(counts) != self.identities:
-            raise ConfigError("samples_per_identity list length != identities")
-        if any(c < 2 for c in counts):
-            raise ConfigError("every identity needs at least 2 samples")
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
-        if self.cluster_spread < 0:
-            raise ConfigError("cluster_spread must be >= 0")
+    def __post_init__(self):
+        require(self.identities >= 2, "identities", self.identities, ">= 2")
+        if isinstance(self.samples_per_identity, int):
+            require(self.samples_per_identity >= 2, "samples_per_identity",
+                    self.samples_per_identity, ">= 2")
+        else:
+            counts = self.counts()
+            require(len(counts) == self.identities and all(c >= 2 for c in counts),
+                    "samples_per_identity", self.samples_per_identity,
+                    f"{self.identities} counts of at least 2")
+        require(self.input_dim >= 1, "input_dim", self.input_dim, ">= 1")
+        require(self.cluster_spread >= 0, "cluster_spread", self.cluster_spread, ">= 0")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
 
 
 @dataclass
@@ -61,7 +62,6 @@ def _unit(v):
 def generate(spec):
     """Identity centers on the unit sphere with bounded pairwise similarity,
     samples as center + isotropic Gaussian noise. Deterministic under seed."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     centers = []
     attempts = 0
@@ -84,11 +84,6 @@ def generate(spec):
             records.append(SampleRecord(index=idx, observation=obs, identity=ident))
             idx += 1
     return records
-
-
-def strip_identities(records):
-    """Trainer-facing copy with identity and camera removed."""
-    return [SampleRecord(r.index, r.observation, None, None) for r in records]
 
 
 def observation_matrix(records):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-value check."""
 
 
 class MemlabelError(Exception):
@@ -7,6 +7,16 @@ class MemlabelError(Exception):
 
 class ConfigError(MemlabelError):
     """Invalid configuration value, unknown key, or infeasible setup."""
+
+
+def require(ok, name, value, rule):
+    """Raise a ConfigError naming the field and its value unless `ok`.
+
+    Pass `ok` as the rule that must hold (`lr > 0`, not `not lr <= 0`), so a
+    NaN value fails it.
+    """
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 class NumericError(MemlabelError):

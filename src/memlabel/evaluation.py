@@ -137,12 +137,13 @@ def write_metrics_log(rows, path):
             )
 
 
-def label_curve(metric_rows):
-    """Per-epoch precision/recall rows for the main predictor and the KNN
-    baseline, as (epoch, predictor, precision, recall) tuples."""
+def label_curve(metric_rows, predictor):
+    """Per-epoch precision/recall rows for the main predictor, named
+    `predictor`, and the KNN baseline, as (epoch, predictor, precision,
+    recall) tuples."""
     out = []
     for r in metric_rows:
-        out.append((r["epoch"], "mplp", r["label_precision"], r["label_recall"]))
+        out.append((r["epoch"], predictor, r["label_precision"], r["label_recall"]))
         if "knn_precision" in r:
             out.append((r["epoch"], "knn", r["knn_precision"], r["knn_recall"]))
     return out

@@ -11,17 +11,14 @@ import itertools
 import numpy as np
 
 from .bank import ZERO_NORM_EPS
-from .config import RunConfig
+from .config import SWEEP_KEYS
 from .data import generate, identities_of, load_records, observation_matrix
-from .errors import ConfigError
+from .errors import require
 from .evaluation import evaluate, split_for_benchmark
 # knn_predict and label_quality are imported so that `experiments.<name>`
 # still resolves for callers and for perfbench/tracing.py, which wraps them here.
 from .labels import knn_labels, knn_predict, label_quality  # noqa: F401
 from .trainer import train
-
-SWEEP_FIELDS = {"t": "threshold", "delta": "delta", "r": "hard_ratio", "K": "knn_k"}
-
 
 def load_or_generate(cfg):
     if cfg.dataset:
@@ -100,29 +97,29 @@ def run_benchmark(cfg, with_truth=True):
 def param_sweep(cfg, param=None, grid=None, seeds=None):
     """Re-run the benchmark per grid value and seed; returns result rows.
 
-    `param` is one of t, delta, r, K, mapped onto the matching config field.
+    `param` is one of t, delta, r, K, mapped onto the matching config key.
     Each cell is a fresh seeded run; rows are (param, value, seed, rank1, mAP).
+    Every cell's config is built, and so checked, before the first one runs.
     """
     param = param or cfg.sweep_param
-    if param not in SWEEP_FIELDS:
-        raise ConfigError(f"sweep param must be one of {sorted(SWEEP_FIELDS)}, "
-                          f"got {param!r}")
+    require(param in SWEEP_KEYS, "sweep_param", param, f"one of {', '.join(SWEEP_KEYS)}")
     grid = cfg.grid_values() if grid is None else list(grid)
-    if not grid:
-        raise ConfigError("sweep grid is empty")
     seeds = range(cfg.seed, cfg.seed + cfg.sweep_seeds) if seeds is None else seeds
-    field = SWEEP_FIELDS[param]
-    rows = []
+    key = SWEEP_KEYS[param]
+    cells = []
     for value in grid:
-        for seed in seeds:
-            cell = dataclasses.replace(cfg, seed=int(seed))
-            coerced = int(value) if field == "knn_k" else float(value)
-            setattr(cell, field, coerced)
-            if param == "K":
-                cell.predictor = "knn"
-            _, result = run_benchmark(cell)
-            final = result.metrics[-1]
-            rows.append((param, value, int(seed), final["rank1"], final["mAP"]))
+        if param == "K":
+            require(float(value).is_integer(), key, value, "a whole number")
+            fields = {key: int(value), "predictor": "knn"}
+        else:
+            fields = {key: float(value)}
+        cells += [(value, int(seed), dataclasses.replace(cfg, seed=int(seed), **fields))
+                  for seed in seeds]
+    rows = []
+    for value, seed, cell in cells:
+        _, result = run_benchmark(cell)
+        final = result.metrics[-1]
+        rows.append((param, value, seed, final["rank1"], final["mAP"]))
     return rows
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import select_top_k
-from .errors import ConfigError
+from .errors import ConfigError, require
 
 VARIANTS = ("mcl", "mcl_tau", "mmcl", "mem_softmax_ce")
 
@@ -36,14 +36,11 @@ class LossConfig:
     hard_ratio: float = 1.0  # percent of negative classes kept
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown loss variant {self.variant!r}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.delta < 1.0:
-            raise ConfigError(f"delta must be >= 1, got {self.delta}")
-        if not 0.0 < self.hard_ratio <= 100.0:
-            raise ConfigError(f"hard_ratio must lie in (0, 100], got {self.hard_ratio}")
+        require(self.variant in VARIANTS, "variant", self.variant,
+                f"one of {', '.join(VARIANTS)}")
+        require(0.0 < self.tau <= 1.0, "tau", self.tau, "in (0, 1]")
+        require(self.delta >= 1.0, "delta", self.delta, ">= 1")
+        require(0.0 < self.hard_ratio <= 100.0, "hard_ratio", self.hard_ratio, "in (0, 100]")
 
 
 @dataclass
@@ -69,18 +66,6 @@ def _softmax(scores):
     e = np.exp(shifted)
     total = np.sum(e, axis=1, keepdims=True)
     return shifted - np.log(total), e / total
-
-
-def mcl_class_loss(score, y, tau):
-    """Logistic loss of one class: log(1 + exp(-y * score / tau))."""
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    return float(_softplus(-y * score / tau))
-
-
-def mmcl_class_loss(score, y):
-    """Squared-error loss of one class: (score - y)^2."""
-    return float((score - y) ** 2)
 
 
 def mine_hard_negatives(scores, label, hard_ratio):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import MemoryBank, ZERO_NORM_EPS
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, require
 # The per-anchor predictors are imported so that `trainer.<name>` still
 # resolves for callers and for perfbench/tracing.py, which wraps them here.
 from .labels import (knn_labels, knn_predict, mplp_labels,  # noqa: F401
@@ -30,8 +30,9 @@ class PredictorConfig:
     k: int = 8
 
     def __post_init__(self):
-        if self.kind not in PREDICTORS:
-            raise ConfigError(f"unknown predictor {self.kind!r}")
+        require(self.kind in PREDICTORS, "kind", self.kind, f"one of {', '.join(PREDICTORS)}")
+        require(-1.0 < self.threshold < 1.0, "threshold", self.threshold, "in (-1, 1)")
+        require(self.k >= 1, "k", self.k, ">= 1")
 
 
 @dataclass
@@ -40,10 +41,8 @@ class AugmentConfig:
     p_drop: float = 0.0  # per-coordinate dropout probability
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError("augment sigma must be >= 0")
-        if not 0.0 <= self.p_drop < 1.0:
-            raise ConfigError("augment p_drop must lie in [0, 1)")
+        require(self.sigma >= 0, "sigma", self.sigma, ">= 0")
+        require(0.0 <= self.p_drop < 1.0, "p_drop", self.p_drop, "in [0, 1)")
 
 
 @dataclass
@@ -62,12 +61,18 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ConfigError("need 0 <= warmup_epochs < epochs")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        require(self.epochs >= 1, "epochs", self.epochs, ">= 1")
+        require(0 <= self.warmup_epochs < self.epochs, "warmup_epochs",
+                self.warmup_epochs, f"in [0, epochs = {self.epochs})")
+        require(self.lr > 0, "lr", self.lr, "> 0")
+        require(self.lr_decay_factor > 0, "lr_decay_factor", self.lr_decay_factor, "> 0")
+        require(self.batch_size >= 1, "batch_size", self.batch_size, ">= 1")
+        require(0.0 <= self.alpha_start <= 1.0, "alpha_start", self.alpha_start, "in [0, 1]")
+        require(0.0 <= self.alpha_end <= 1.0, "alpha_end", self.alpha_end, "in [0, 1]")
+        require(self.hidden_dim >= 1, "hidden_dim", self.hidden_dim, ">= 1")
+        require(self.embed_dim >= 1, "embed_dim", self.embed_dim, ">= 1")
+        require(self.init_scale > 0, "init_scale", self.init_scale, "> 0")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
 
     def alpha_at(self, epoch):
         if self.epochs == 1:
@@ -124,8 +129,8 @@ class TrainResult:
 
 def init_state(observations, schedule):
     n, in_dim = observations.shape
-    if schedule.batch_size > n:
-        raise ConfigError(f"batch_size {schedule.batch_size} exceeds dataset size {n}")
+    require(schedule.batch_size <= n, "batch_size", schedule.batch_size,
+            f"<= the number of samples ({n})")
     rng = np.random.default_rng(schedule.seed)
     model = EmbeddingModel(in_dim, schedule.embed_dim,
                            hidden_dim=schedule.hidden_dim, rng=rng,
@@ -189,6 +194,8 @@ def train(observations, schedule, loss_cfg=None, predictor_cfg=None,
     predictor_cfg = predictor_cfg or PredictorConfig()
     augment_cfg = augment_cfg or AugmentConfig()
     state = init_state(np.asarray(observations, dtype=np.float64), schedule)
+    require(predictor_cfg.k <= state.bank.n, "k", predictor_cfg.k,
+            f"<= the number of samples ({state.bank.n})")
     metrics = []
     for epoch in range(schedule.epochs):
         mean_loss = run_epoch(state, epoch, schedule, loss_cfg,

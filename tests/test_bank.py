@@ -220,3 +220,23 @@ def test_bank_load_errors(tmp_path):
     path.write_text("1,3,0,0.5\n1,0\n")  # short row
     with pytest.raises(ParseError):
         MemoryBank.load(path)
+
+
+def test_bank_load_rejects_extra_rows(tmp_path):
+    bank = MemoryBank(256, 3)
+    bank.features[:] = 1.0 / np.sqrt(3)
+    path = tmp_path / "bank.csv"
+    bank.save(path)
+    with open(path, "a") as fh:
+        fh.write("1,0,0\n")  # row 257 for a header that says n = 256
+    with pytest.raises(ParseError) as err:
+        MemoryBank.load(path)
+    assert err.value.line == 258
+
+
+def test_bank_load_rejects_non_finite_value(tmp_path):
+    path = tmp_path / "bank.csv"
+    path.write_text("3,2,0,0.5\n1,0\nnan,1\n0,1\n")  # row 2 is line 3
+    with pytest.raises(ParseError) as err:
+        MemoryBank.load(path)
+    assert err.value.line == 3

@@ -1,11 +1,13 @@
 """Command-line surface: pipeline smoke test, artifact files, exit codes,
-determinism, and the output-directory override."""
+determinism, the output-directory override, and bad config values rejected
+before any epoch."""
 
 import json
 import os
 
 import pytest
 
+from memlabel import trainer
 from memlabel.cli import main
 
 SMALL_CFG = """
@@ -138,3 +140,46 @@ def test_train_on_unlabeled_dataset(tmp_path, cfg_path):
     for row in rows[1:]:
         fields = row.split(",")
         assert fields[2:6] == ["nan"] * 4  # label_precision .. mAP
+
+
+def test_label_curve_names_the_configured_predictor(tmp_path):
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SMALL_CFG + "predictor = single\n")
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", str(cfg), "--out", out]) == 0
+    lines = open(os.path.join(out, "label_curve.csv")).read().splitlines()[1:]
+    assert {line.split(",")[1] for line in lines} == {"single", "knn"}
+    assert lines[0].startswith("0,single,")
+
+
+# (command, config lines, name in the error, value as written). knn_k is
+# checked against the 16 samples once they exist, under its field name k.
+BAD_VALUES = [
+    ("train", "lr = -0.5", "lr", "-0.5"),
+    ("train", "lr_decay_factor = -1", "lr_decay_factor", "-1"),
+    ("train", "alpha_end = 1.5", "alpha_end", "1.5"),
+    ("train", "threshold = 1.5", "threshold", "1.5"),
+    ("train", "knn_k = 500", "k", "500"),
+    ("train", "init_scale = -1", "init_scale", "-1"),
+    ("train", "hidden_dim = 0", "hidden_dim", "0"),
+    ("param-sweep", "sweep_param = t\nsweep_grid = 0.5,1.5", "threshold", "1.5"),
+]
+
+
+@pytest.mark.parametrize("command,lines,name,value", BAD_VALUES)
+def test_bad_value_rejected_before_any_epoch(tmp_path, capsys, monkeypatch,
+                                             command, lines, name, value):
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("an epoch started")
+
+    monkeypatch.setattr(trainer, "run_epoch", no_epoch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG + lines + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ConfigError: ")
+    assert f"{name} must be" in err
+    assert f"got {value}" in err
+    assert not out.exists() or not os.listdir(out)

@@ -1,14 +1,21 @@
 """Synthetic data generation, dataset CSV round-trips, feature import, and
 config file parsing."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memlabel import ConfigError, SyntheticSpec, generate, import_features
 from memlabel.config import RunConfig, load_config, save_config
 from memlabel.data import (identities_of, load_records, observation_matrix,
-                           save_records, strip_identities)
+                           save_records)
 from memlabel.errors import ParseError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---- generation ----------------------------------------------------------
@@ -60,15 +67,16 @@ def test_generate_infeasible_separation():
 
 
 def test_spec_validation():
+    # a spec checks its fields when it is built
     with pytest.raises(ConfigError):
-        SyntheticSpec(identities=1).validate()
+        SyntheticSpec(identities=1)
     with pytest.raises(ConfigError):
-        SyntheticSpec(samples_per_identity=1).validate()
+        SyntheticSpec(samples_per_identity=1)
     with pytest.raises(ConfigError):
-        SyntheticSpec(samples_per_identity=[2, 2]).validate()  # wrong length
+        SyntheticSpec(samples_per_identity=[2, 2])  # wrong length
     with pytest.raises(ConfigError):
-        SyntheticSpec(input_dim=0).validate()
-    SyntheticSpec(identities=2, samples_per_identity=[2, 3]).validate()
+        SyntheticSpec(input_dim=0)
+    SyntheticSpec(identities=2, samples_per_identity=[2, 3])
 
 
 def test_per_identity_counts():
@@ -78,15 +86,9 @@ def test_per_identity_counts():
     ids = identities_of(records)
     assert int(np.sum(ids == 0)) == 2
     assert int(np.sum(ids == 1)) == 5
-
-
-def test_strip_identities():
-    records = generate(SyntheticSpec(identities=2, samples_per_identity=2,
-                                     input_dim=4, seed=6))
-    stripped = strip_identities(records)
-    assert all(r.identity is None and r.camera is None for r in stripped)
+    records[0].identity = None
     with pytest.raises(ConfigError):
-        identities_of(stripped)
+        identities_of(records)
 
 
 # ---- dataset CSV ---------------------------------------------------------
@@ -207,3 +209,28 @@ def test_config_grid_values():
     assert RunConfig(sweep_grid="1,5").grid_values() == [1.0, 5.0]
     with pytest.raises(ConfigError):
         RunConfig(sweep_grid="1,x").grid_values()
+
+
+def test_default_config_file_matches_defaults():
+    assert load_config(os.path.join(ROOT, "configs", "default.cfg")) == RunConfig()
+
+
+KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+VALUES = st.one_of(st.sampled_from(["", "0", "-1", "1.5", "nan", "inf", "1e999", "mmcl",
+                                    "knn", "t", "1,x", "99999999999999999999"]),
+                   st.text(max_size=12))
+LINE = st.one_of(st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(KEYS), VALUES),
+                 st.text(max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINE, max_size=6).map("\n".join))
+def test_load_config_raises_only_config_or_parse_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(text)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except (ConfigError, ParseError):
+            pass

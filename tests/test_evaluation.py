@@ -199,7 +199,7 @@ def test_metrics_log_and_label_curve(tmp_path):
     write_metrics_log(rows, log)
     assert log.read_text().splitlines()[0] == (
         "epoch,loss,label_precision,label_recall,rank1,mAP,mean_positives")
-    curve = label_curve(rows)
+    curve = label_curve(rows, "mplp")
     assert ("mplp" in {c[1] for c in curve}) and ("knn" in {c[1] for c in curve})
     curve_path = tmp_path / "curve.csv"
     write_label_curve(curve, curve_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from memlabel import (ConfigError, LossConfig, MemoryBank, compute_loss,
-                      mcl_class_loss, mine_hard_negatives, mmcl_class_loss)
+                      mine_hard_negatives)
 from memlabel.labels import make_label, singleton_label
 from memlabel.losses import (gradient_sweep, mcl_tau_loss, mem_softmax_ce_loss,
                              mmcl_loss, single_class_grad_magnitude,
@@ -49,24 +49,49 @@ def rel_err(a, b):
 # ---- per-class losses ----------------------------------------------------
 
 
+def class_bank(n):
+    """n one-hot rows: sample feature (s_0, .., s_{n-1}) scores s_j on class j."""
+    bank = MemoryBank(n, n)
+    for i in range(n):
+        bank.overwrite_row(i, np.eye(n)[i])
+    return bank
+
+
+def mcl_value(scores, tau):
+    """mcl_tau_loss of one sample, anchor 0, over one class per score."""
+    bank = class_bank(len(scores))
+    return mcl_tau_loss(np.array([scores]), [singleton_label(0, bank.n)], bank,
+                        LossConfig("mcl_tau", tau=tau))
+
+
 def test_mcl_class_analytic():
-    assert mcl_class_loss(0.0, 1, 1.0) == pytest.approx(np.log(2), abs=1e-12)
-    assert mcl_class_loss(1.0, 1, 1.0) == pytest.approx(0.313262, abs=1e-6)
-    assert mcl_class_loss(1.0, 1, 0.1) == pytest.approx(4.54e-5, rel=1e-2)
+    # one class: log(1 + exp(-y * score / tau)) with y = +1
+    assert mcl_value([0.0], 1.0).value == pytest.approx(np.log(2), abs=1e-12)
+    assert mcl_value([1.0], 1.0).value == pytest.approx(0.313262, abs=1e-6)
+    assert mcl_value([1.0], 0.1).value == pytest.approx(4.54e-5, rel=1e-2)
     with pytest.raises(ConfigError):
-        mcl_class_loss(0.0, 1, 0.0)
+        LossConfig("mcl_tau", tau=0.0)
 
 
 def test_mcl_class_stable_at_extremes():
     # softplus form must not overflow at large |score/tau|
-    assert np.isfinite(mcl_class_loss(1.0, -1, 0.001))
-    assert mcl_class_loss(1.0, 1, 0.001) == pytest.approx(0.0, abs=1e-12)
+    assert mcl_value([1.0], 0.001).value == pytest.approx(0.0, abs=1e-12)
+    # class 1 is a negative (y = -1) scored 1: softplus(1000) = 1000
+    report = mcl_value([1.0, 1.0], 0.001)
+    assert report.value == pytest.approx(1000.0, rel=1e-12)
+    assert np.all(np.isfinite(report.grad))
 
 
 def test_mmcl_class_analytic():
-    assert mmcl_class_loss(1.0, 1) == 0.0
-    assert mmcl_class_loss(0.0, -1) == 1.0
-    assert mmcl_class_loss(-0.5, 1) == pytest.approx(2.25)
+    # (score - y)^2 per class; delta = 1 and the one negative class is kept
+    def value(scores):
+        bank = class_bank(len(scores))
+        return mmcl_loss(np.array([scores]), [singleton_label(0, bank.n)], bank,
+                         LossConfig("mmcl", delta=1.0, hard_ratio=100.0)).value
+
+    assert value([1.0]) == 0.0
+    assert value([-0.5]) == pytest.approx(2.25)
+    assert value([1.0, 0.0]) == 1.0  # positive at 1, negative (y = -1) at 0
 
 
 # ---- config validation ---------------------------------------------------
