@@ -9,7 +9,7 @@ embedding model, and CMC/mAP retrieval evaluation.
 from .bank import MemoryBank, RankList
 from .errors import (ConfigError, MemlabelError, NumericError, ParseError,
                      TrainingDiverged)
-from .labels import (CandidateSet, MultiLabel, filter_by_threshold,
+from .labels import (CandidateSet, LabelSet, MultiLabel, filter_by_threshold,
                      knn_labels, knn_predict, label_quality, mplp_labels,
                      mplp_predict, similarity_score_labels,
                      similarity_score_predict, singleton_label)

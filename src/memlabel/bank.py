@@ -1,7 +1,8 @@
 """Memory bank: per-sample feature store doubling as a non-parametric classifier.
 
 Each of the n rows holds a running, L2-normalized feature for one training
-sample. Rows are updated with a momentum blend and renormalized.
+sample. Rows are updated with a momentum blend and renormalized; a minibatch's
+rows are refreshed together in one vectorised step (`update_rows`).
 
 All ranking in the package goes through one kernel, `MemoryBank.top_k`: it
 scores blocks of rows against the whole bank (S = F[rows] @ F.T, at most
@@ -68,9 +69,6 @@ class RankList:
     order: np.ndarray
     scores: np.ndarray
 
-    def top(self, k):
-        return self.order[:k]
-
 
 class MemoryBank:
     """n x d row store with momentum updates.
@@ -80,10 +78,8 @@ class MemoryBank:
     """
 
     def __init__(self, n, d, update_rate=0.5):
-        if n < 1:
-            raise ConfigError(f"memory bank needs n >= 1, got n={n}")
-        if d < 1:
-            raise ConfigError(f"memory bank needs d >= 1, got d={d}")
+        if n < 1 or d < 1:
+            raise ConfigError(f"memory bank needs n >= 1 and d >= 1, got n={n}, d={d}")
         self.features = np.zeros((n, d), dtype=np.float64)
         self.update_rate = float(update_rate)
         self.epoch = 0
@@ -97,46 +93,48 @@ class MemoryBank:
         return self.features.shape[1]
 
     def _check_index(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} outside [0, {self.n})")
+        """IndexError naming the first of the indices i outside [0, n)."""
+        i = np.asarray(i)
+        outside = i[(i < 0) | (i >= self.n)]
+        if outside.size:
+            raise IndexError(f"sample index {outside[0]} outside [0, {self.n})")
 
     def row_norm(self, i):
         self._check_index(i)
         return float(np.linalg.norm(self.features[i]))
 
     def update_row(self, i, f, alpha):
-        """Blend row i towards f with rate alpha, then renormalize.
-
-        new_row = alpha * f + (1 - alpha) * old_row, L2-normalized unless the
-        blend has (near-)zero norm, in which case it is stored as-is.
-        """
-        self._check_index(i)
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (self.d,):
-            raise ConfigError(f"feature has shape {f.shape}, expected ({self.d},)")
-        if not np.all(np.isfinite(f)):
-            raise NumericError(f"non-finite feature for sample {i}")
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"update rate must be in [0, 1], got {alpha}")
-        if alpha == 0.0:
-            # identity blend; skip renormalization so the row is bitwise stable
-            return
-        blended = alpha * f + (1.0 - alpha) * self.features[i]
-        norm = np.linalg.norm(blended)
-        if norm > ZERO_NORM_EPS:
-            blended = blended / norm
-        self.features[i] = blended
+        """Blend row i towards f with rate alpha, then renormalize: new_row =
+        alpha * f + (1 - alpha) * old_row, stored as-is if its norm is
+        (near-)zero. At alpha = 0 the row stays bitwise unchanged."""
+        self.update_rows([i], np.reshape(f, (1, -1)), alpha, bootstrap=False)
 
     def overwrite_row(self, i, f):
-        """Replace row i outright (used to bootstrap cold rows)."""
-        self._check_index(i)
-        f = np.asarray(f, dtype=np.float64)
-        if not np.all(np.isfinite(f)):
-            raise NumericError(f"non-finite feature for sample {i}")
-        norm = np.linalg.norm(f)
-        if norm > ZERO_NORM_EPS:
-            f = f / norm
-        self.features[i] = f
+        """Replace row i outright with f, L2-normalized unless (near-)zero."""
+        self.update_rows([i], np.reshape(f, (1, -1)), 1.0)
+
+    def update_rows(self, rows, feats, alpha, bootstrap=True):
+        """Refresh distinct rows from a batch of features in one step, each as
+        by `update_row`; with `bootstrap` a cold row is overwritten instead.
+        Nothing is written if a check fails."""
+        rows = np.asarray(rows, dtype=np.intp)
+        feats = np.asarray(feats, dtype=np.float64)
+        if feats.shape != (rows.size, self.d) or np.any(np.diff(np.sort(rows)) == 0):
+            raise ConfigError(f"need one ({self.d},) feature per distinct row, got {feats.shape}")
+        self._check_index(rows)
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite feature for sample {rows[np.argmin(finite)]}")
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"update rate must be in [0, 1], got {alpha}")
+        old = self.features[rows]
+        warm = (np.linalg.norm(old, axis=1) > ZERO_NORM_EPS) | (not bootstrap)
+        if alpha == 0.0:
+            rows, feats, old, warm = rows[~warm], feats[~warm], old[~warm], warm[~warm]
+        new = np.where(warm[:, None], alpha * feats + (1.0 - alpha) * old, feats)
+        # one dot product per row, the same sum as np.linalg.norm of a row
+        norm = np.sqrt((new[:, None, :] @ new[:, :, None]).ravel())
+        self.features[rows] = new / np.where(norm > ZERO_NORM_EPS, norm, 1.0)[:, None]
 
     def similarity(self, i, j):
         """Inner product of stored rows i and j."""
@@ -152,9 +150,7 @@ class MemoryBank:
         the bank has been filled.
         """
         if rows is not None:
-            outside = rows[(rows < 0) | (rows >= self.n)]
-            if outside.size:
-                self._check_index(int(outside[0]))
+            self._check_index(rows)
         picked = self.features if rows is None else self.features[rows]
         cold = np.flatnonzero(np.linalg.norm(picked, axis=1) <= ZERO_NORM_EPS)
         if cold.size:
@@ -218,19 +214,19 @@ class MemoryBank:
     @classmethod
     def load(cls, path):
         """Read a bank written by `save`; a malformed file raises ParseError
-        naming the line."""
+        naming the line. Memory follows the rows read, not the header."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             try:
                 n, d, epoch, rate = header
                 n, d, epoch, rate = int(n), int(d), int(epoch), float(rate)
+                if n < 1 or d < 1:
+                    raise ValueError("a bank needs n >= 1 and d >= 1")
             except ValueError as exc:
                 raise ParseError(f"bad bank header: {header!r}", line=1) from exc
-            bank = cls(n, d, update_rate=rate)
-            bank.epoch = epoch
-            rows = 0
+            rows = []
             for lineno, line in enumerate(fh, start=2):
-                if rows == n:
+                if len(rows) == n:
                     if line.strip():
                         raise ParseError(f"more than the header's {n} bank rows", line=lineno)
                     continue
@@ -241,10 +237,12 @@ class MemoryBank:
                 if vals.shape != (d,):
                     raise ParseError(f"bank row has {vals.size} values, expected {d}",
                                      line=lineno)
-                bank.features[rows] = vals
-                rows += 1
-        if rows < n:
-            raise ParseError("bank file truncated", line=rows + 2)
+                rows.append(vals)
+        if len(rows) < n:
+            raise ParseError("bank file truncated", line=len(rows) + 2)
+        bank = cls(n, d, update_rate=rate)
+        bank.epoch = epoch
+        np.stack(rows, out=bank.features)
         finite = np.isfinite(bank.features).all(axis=1)
         if not finite.all():
             raise ParseError("non-finite bank value", line=int(np.argmin(finite)) + 2)

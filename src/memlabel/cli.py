@@ -19,8 +19,8 @@ from .bank import MemoryBank
 from .config import RunConfig, load_config
 from .data import generate, save_records
 from .errors import MemlabelError
-from .evaluation import (RetrievalSplit, evaluate, split_for_benchmark,
-                         write_label_curve, write_metrics_log, label_curve)
+from .evaluation import (evaluate, label_curve, records_split, split_for_benchmark,
+                         write_label_curve, write_metrics_log)
 from .labels import save_labels
 from .losses import gradient_sweep, write_gradient_sweep
 from .trainer import predict_labels
@@ -90,18 +90,9 @@ def cmd_predict_labels(args):
 def _eval_split(cfg):
     if cfg.query_features and cfg.gallery_features:
         q = import_features(cfg.query_features)
-        g = import_features(cfg.gallery_features)
-        q_cams = [r.camera for r in q]
-        g_cams = [r.camera for r in g]
-        has_cams = all(c is not None for c in q_cams + g_cams)
-        return RetrievalSplit(
-            query_features=observation_matrix(q),
-            query_ids=np.array([r.identity for r in q]),
-            gallery_features=observation_matrix(g),
-            gallery_ids=np.array([r.identity for r in g]),
-            query_cams=np.array(q_cams) if has_cams else None,
-            gallery_cams=np.array(g_cams) if has_cams else None,
-        )
+        both = q + import_features(cfg.gallery_features)
+        return records_split(both, observation_matrix(both), np.arange(len(q)),
+                             np.arange(len(q), len(both)))
     if cfg.features:
         records = import_features(cfg.features)
         return split_for_benchmark(records, observation_matrix(records))

@@ -113,10 +113,25 @@ def save_records(records, path):
     os.replace(tmp, path)
 
 
+def _put(records, lineno, index, vec, identity, camera):
+    """Add a parsed record to `records`, rejecting bad values and repeated indices."""
+    if not np.all(np.isfinite(vec)):
+        raise ParseError("non-finite feature value", line=lineno)
+    if index in records:
+        raise ParseError(f"duplicate index {index}", line=lineno)
+    records[index] = SampleRecord(index, vec, identity, camera)
+
+
+def _dense(records):
+    """The loaded records in index order; the indices must be 0..n-1."""
+    if sorted(records) != list(range(len(records))):
+        raise ParseError("indices are not dense 0..n-1")
+    return [records[i] for i in range(len(records))]
+
+
 def load_records(path):
     """Read the dataset CSV without touching vector norms."""
-    records = []
-    seen = set()
+    records = {}
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("index,identity,camera"):
@@ -136,16 +151,8 @@ def load_records(path):
                 vec = np.array([float(v) for v in parts[3:]])
             except ValueError as exc:
                 raise ParseError(f"unparseable value ({exc})", line=lineno) from exc
-            if not np.all(np.isfinite(vec)):
-                raise ParseError("non-finite feature value", line=lineno)
-            if index in seen:
-                raise ParseError(f"duplicate index {index}", line=lineno)
-            seen.add(index)
-            records.append(SampleRecord(index, vec, identity, camera))
-    records.sort(key=lambda r: r.index)
-    if [r.index for r in records] != list(range(len(records))):
-        raise ParseError("indices are not dense 0..n-1")
-    return records
+            _put(records, lineno, index, vec, identity, camera)
+    return _dense(records)
 
 
 def load_records_jsonl(path):
@@ -153,8 +160,7 @@ def load_records_jsonl(path):
     keys index, features, and optional identity/camera."""
     import json
 
-    records = []
-    seen = set()
+    records = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -164,23 +170,12 @@ def load_records_jsonl(path):
                 obj = json.loads(line)
                 index = int(obj["index"])
                 vec = np.array([float(v) for v in obj["features"]])
-            except (ValueError, KeyError, TypeError) as exc:
+                identity, camera = (None if obj.get(key) is None else int(obj[key])
+                                    for key in ("identity", "camera"))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ParseError(f"bad JSON record ({exc})", line=lineno) from exc
-            if not np.all(np.isfinite(vec)):
-                raise ParseError("non-finite feature value", line=lineno)
-            if index in seen:
-                raise ParseError(f"duplicate index {index}", line=lineno)
-            seen.add(index)
-            identity = obj.get("identity")
-            camera = obj.get("camera")
-            records.append(SampleRecord(
-                index, vec,
-                None if identity is None else int(identity),
-                None if camera is None else int(camera)))
-    records.sort(key=lambda r: r.index)
-    if [r.index for r in records] != list(range(len(records))):
-        raise ParseError("indices are not dense 0..n-1")
-    return records
+            _put(records, lineno, index, vec, identity, camera)
+    return _dense(records)
 
 
 def import_features(path):

@@ -6,6 +6,10 @@ index. When camera ids are present, gallery entries sharing both identity and
 camera with the query are excluded before ranking, following the usual
 retrieval protocol. AP is the mean of precision@rank over the ranks of true
 matches.
+
+`evaluate` sorts no gallery: it scores blocks of queries (at most
+`bank.RANK_BLOCK_ENTRIES` scores each) and ranks each true match by counting
+the kept entries ahead of it (a higher score, or a tie at a lower index).
 """
 
 import json
@@ -15,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import bank as bank_module
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -61,38 +66,47 @@ def evaluate(split):
     G = np.asarray(split.gallery_features, dtype=np.float64)
     if Q.shape[1] != G.shape[1]:
         raise ConfigError("query/gallery feature dimensions differ")
-    n_gallery = G.shape[0]
-    sims = Q @ G.T
-    cmc_hits = np.zeros(n_gallery)
-    aps = []
-    skipped = 0
-    for q in range(Q.shape[0]):
-        keep = np.ones(n_gallery, dtype=bool)
-        if split.query_cams is not None and split.gallery_cams is not None:
-            keep &= ~(
-                (split.gallery_ids == split.query_ids[q])
-                & (split.gallery_cams == split.query_cams[q])
-            )
-        idx = np.flatnonzero(keep)
-        order = idx[np.lexsort((idx, -sims[q, idx]))]
-        good = split.gallery_ids[order] == split.query_ids[q]
-        if not np.any(good):
-            skipped += 1
-            log.warning("query %d has no valid gallery match; skipped", q)
-            continue
-        ranks = np.flatnonzero(good)
-        cmc_hits[ranks[0]:] += 1
-        precision_at_hit = (np.arange(ranks.size) + 1) / (ranks + 1)
-        aps.append(float(np.mean(precision_at_hit)))
-    n_eval = Q.shape[0] - skipped
+    q_ids, g_ids = np.asarray(split.query_ids), np.asarray(split.gallery_ids)
+    cams = split.query_cams is not None and split.gallery_cams is not None
+    q_cams, g_cams = np.asarray(split.query_cams), np.asarray(split.gallery_cams)
+    n_query, n_gallery = Q.shape[0], G.shape[0]
+    first_hit = np.full(n_query, -1)  # rank of each query's best match; -1: none
+    ap = np.zeros(n_query)
+    step = max(1, bank_module.RANK_BLOCK_ENTRIES // max(1, n_gallery))
+    for start in range(0, n_query, step):
+        block = slice(start, start + step)
+        S = Q[block] @ G.T
+        same = q_ids[block, None] == g_ids
+        keep = ~(same & (q_cams[block, None] == g_cams)) if cams else np.ones_like(same)
+        match = same & keep
+        rows, cols = np.nonzero(match)  # true matches, by query then gallery index
+        hits = np.bincount(rows, minlength=S.shape[0])
+        nth = np.arange(rows.size) - np.repeat(np.cumsum(hits) - hits, hits)
+        rank, place = np.empty_like(rows), np.empty_like(rows)
+        for j in range(hits.max(initial=0)):  # the j-th match of every query at once
+            at = np.flatnonzero(nth == j)
+            r, c = rows[at], cols[at]
+            scores, score = S[r], S[r, c][:, None]
+            ahead = (scores > score) | ((scores == score) & (np.arange(n_gallery) < c[:, None]))
+            rank[at] = np.count_nonzero(ahead & keep[r], axis=1)
+            place[at] = np.count_nonzero(ahead & match[r], axis=1)
+        # AP: the mean over a query's matches of the precision at each
+        precision = np.bincount(rows, weights=(place + 1) / (rank + 1), minlength=S.shape[0])
+        found = hits > 0
+        ap[block][found] = precision[found] / hits[found]
+        first_hit[start + rows[place == 0]] = rank[place == 0]
+    for q in np.flatnonzero(first_hit < 0):
+        log.warning("query %d has no valid gallery match; skipped", q)
+    evaluated = first_hit >= 0
+    n_eval = int(evaluated.sum())
     if n_eval == 0:
         raise ConfigError("no query has a valid gallery match")
-    per_query_ap = np.array(aps)
+    per_query_ap = ap[evaluated]
     return MetricsReport(
-        cmc=cmc_hits / n_eval,
+        cmc=np.cumsum(np.bincount(first_hit[evaluated], minlength=n_gallery)) / n_eval,
         map=float(np.mean(per_query_ap)),
         per_query_ap=per_query_ap,
-        skipped_queries=skipped,
+        skipped_queries=n_query - n_eval,
     )
 
 
@@ -103,23 +117,19 @@ def split_for_benchmark(records, features):
     ids = np.array([r.identity for r in records])
     if any(r.identity is None for r in records):
         raise ConfigError("benchmark split needs ground-truth identities")
-    q_idx, g_idx = [], []
-    for ident in np.unique(ids):
-        members = np.flatnonzero(ids == ident)
-        q_idx.extend(members[:-1])
-        g_idx.append(members[-1])
-    q_idx = np.array(q_idx)
-    g_idx = np.array(g_idx)
+    order = np.argsort(ids, kind="stable")  # by identity, then by index
+    last = np.append(ids[order][1:] != ids[order][:-1], True)
+    return records_split(records, features, order[~last], order[last])
+
+
+def records_split(records, features, q_idx, g_idx):
+    """The RetrievalSplit of the records at the query and gallery indices,
+    with cameras if every record has one."""
+    ids = np.array([r.identity for r in records])
     cams = [r.camera for r in records]
-    has_cams = all(c is not None for c in cams)
-    return RetrievalSplit(
-        query_features=features[q_idx],
-        query_ids=ids[q_idx],
-        gallery_features=features[g_idx],
-        gallery_ids=ids[g_idx],
-        query_cams=np.array(cams)[q_idx] if has_cams else None,
-        gallery_cams=np.array(cams)[g_idx] if has_cams else None,
-    )
+    cams = np.array(cams) if None not in cams else None
+    return RetrievalSplit(features[q_idx], ids[q_idx], features[g_idx], ids[g_idx],
+                          *(() if cams is None else (cams[q_idx], cams[g_idx])))
 
 
 # ---- report tables -------------------------------------------------------

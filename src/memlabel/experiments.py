@@ -6,7 +6,6 @@ evaluation hook, which reads a frozen copy of the training state each epoch.
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -26,19 +25,12 @@ def load_or_generate(cfg):
     return generate(cfg.synthetic_spec())
 
 
-def _bank_is_warm(bank):
-    return bool(np.all(np.linalg.norm(bank.features, axis=1) > ZERO_NORM_EPS))
-
-
 def _mean_quality(labels, ids):
-    """Mean `label_quality` precision and recall over all labels, computed
+    """Mean `label_quality` precision and recall over a LabelSet, computed
     for every anchor at once."""
     ids = np.asarray(ids)
-    sizes = np.array([len(lab.positives) for lab in labels])
-    anchors = np.array([lab.anchor for lab in labels])
-    positives = np.fromiter(itertools.chain.from_iterable(lab.positives for lab in labels),
-                            dtype=np.intp, count=int(sizes.sum()))
-    same = ids[positives] == np.repeat(ids[anchors], sizes)
+    sizes, anchors = np.diff(labels.indptr), labels.anchors
+    same = ids[labels.indices] == np.repeat(ids[anchors], sizes)
     hits = np.bincount(np.repeat(np.arange(len(labels)), sizes), weights=same,
                        minlength=len(labels))
     _, group, group_size = np.unique(ids, return_inverse=True, return_counts=True)
@@ -47,13 +39,18 @@ def _mean_quality(labels, ids):
 
 
 def make_eval_hook(records, knn_k=8):
-    """Per-epoch retrieval metrics and label quality against ground truth."""
+    """Per-epoch retrieval metrics and label quality against ground truth,
+    with the quality of K-nearest-neighbour labels as a baseline unless
+    `knn_k` is None."""
     ids = identities_of(records)
     obs = observation_matrix(records)
+    # the split is fixed: made once, with each record's index as its feature
+    split = split_for_benchmark(records, np.arange(len(records)))
 
     def hook(state, epoch):
         feats = state.model.forward(obs)
-        report = evaluate(split_for_benchmark(records, feats))
+        report = evaluate(dataclasses.replace(split, query_features=feats[split.query_features],
+                                              gallery_features=feats[split.gallery_features]))
         precision, recall = _mean_quality(state.labels, ids)
         row = {
             "rank1": report.rank(1),
@@ -61,7 +58,7 @@ def make_eval_hook(records, knn_k=8):
             "label_precision": precision,
             "label_recall": recall,
         }
-        if _bank_is_warm(state.bank):
+        if knn_k is not None and np.linalg.norm(state.bank.features, axis=1).min() > ZERO_NORM_EPS:
             kp, kr = _mean_quality(knn_labels(state.bank, knn_k), ids)
             row["knn_precision"] = kp
             row["knn_recall"] = kr
@@ -88,7 +85,9 @@ def run_benchmark(cfg, with_truth=True):
     if with_truth is None:
         with_truth = all(r.identity is not None for r in records)
     obs = observation_matrix(records)
-    hook = make_eval_hook(records, knn_k=cfg.knn_k) if with_truth else None
+    # with KNN training labels the baseline would repeat the main series
+    baseline_k = None if cfg.predictor == "knn" else cfg.knn_k
+    hook = make_eval_hook(records, knn_k=baseline_k) if with_truth else None
     result = train(obs, cfg.schedule(), cfg.loss_config(),
                    cfg.predictor_config(), cfg.augment_config(), eval_hook=hook)
     return records, result

@@ -16,9 +16,10 @@ rejection. The check is a one-sided form of k-reciprocal neighbours (Zhong
 et al., "Re-ranking Person Re-identification with k-reciprocal Encoding",
 CVPR 2017).
 
-Every predictor returns MultiLabels: the anchor index plus the set of sample
-indices treated as positive classes. During warmup the label is the singleton
-{anchor}.
+Every predictor returns one `LabelSet`: CSR arrays (`indptr`, `indices`) whose
+rows, the anchors' positive sets, are sorted, free of repeats and hold their
+anchor. Losses read it as a (B, n) positive mask; indexing it yields
+`MultiLabel`s. During warmup each label is the singleton {anchor}.
 """
 
 from dataclasses import dataclass
@@ -51,14 +52,50 @@ class MultiLabel:
         if self.anchor not in self.positives:
             raise ConfigError(f"anchor {self.anchor} missing from its positive set")
 
-    def signed(self):
-        """Dense +/-1 view of the label."""
-        y = -np.ones(self.n)
-        y[list(self.positives)] = 1.0
-        return y
 
-    def positive_array(self):
-        return np.array(self.positives, dtype=np.intp)
+class LabelSet:
+    """Positive sets over n classes as CSR arrays: row a, the positives of
+    `anchors[a]`, is `indices[indptr[a]:indptr[a + 1]]`. Built from the rows'
+    positives concatenated (`counts[a]` each, in any order), with the anchor
+    added, repeats dropped and each row sorted."""
+
+    def __init__(self, anchors, counts, positives, n):
+        self.anchors, self.n = np.asarray(anchors, dtype=np.intp), int(n)
+        m = self.anchors.size
+        cols = np.concatenate((np.asarray(positives, dtype=np.intp).ravel(), self.anchors))
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.n:
+            raise ConfigError(f"label index outside [0, {self.n})")
+        keys = np.sort(np.concatenate((np.repeat(np.arange(m), counts), np.arange(m)))
+                       * self.n + cols)
+        rows, self.indices = np.divmod(keys[np.diff(keys, prepend=-1) != 0], self.n)
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+
+    def __len__(self):
+        return self.anchors.size
+
+    def __getitem__(self, a):  # also makes a LabelSet iterable
+        a = range(len(self))[a]
+        return MultiLabel(int(self.anchors[a]),
+                          tuple(self.indices[self.indptr[a]:self.indptr[a + 1]].tolist()), self.n)
+
+    def mask(self, rows):
+        """(len(rows), n) boolean mask of the positives of the given rows."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = np.diff(self.indptr)[rows]
+        shift = np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
+        mask = np.zeros((rows.size, self.n), dtype=bool)
+        mask[np.repeat(np.arange(rows.size), counts),
+             self.indices[shift + np.arange(shift.size)]] = True
+        return mask
+
+
+def positive_mask(labels, n):
+    """(B, n) boolean positive mask of a list of MultiLabels (a mask passes)."""
+    if isinstance(labels, np.ndarray):
+        return labels
+    mask = np.zeros(len(labels) * n, dtype=bool)
+    mask[[b * n + p for b, lab in enumerate(labels) for p in lab.positives]] = True
+    return mask.reshape(len(labels), n)
 
 
 def make_label(anchor, positives, n):
@@ -103,12 +140,6 @@ def _threshold_candidates(bank, t, anchors):
     return tops, k, tops[np.arange(tops.shape[1]) < k[:, None]]
 
 
-def _labels(bank, anchors, positives, counts):
-    """One MultiLabel per anchor from the anchors' concatenated positives."""
-    split = np.split(positives, np.cumsum(counts)[:-1])
-    return [make_label(a, p.tolist(), bank.n) for a, p in zip(anchors.tolist(), split)]
-
-
 def mplp_labels(bank, t, anchors=None):
     """Cycle-consistent positive labels for every anchor (default: all rows).
 
@@ -135,13 +166,13 @@ def mplp_labels(bank, t, anchors=None):
     rejections = np.cumsum(~accepted)
     before = np.concatenate(([0], rejections))[np.cumsum(k) - k]
     kept = rejections == before[owner]
-    return _labels(bank, rows, cand[kept], np.bincount(owner[kept], minlength=rows.size))
+    return LabelSet(rows, np.bincount(owner[kept], minlength=rows.size), cand[kept], bank.n)
 
 
 def similarity_score_labels(bank, t, anchors=None):
     """Threshold-only baseline: the candidate sets with no cycle filtering."""
     _, k, cand = _threshold_candidates(bank, t, anchors)
-    return _labels(bank, _anchor_rows(bank, anchors), cand, k)
+    return LabelSet(_anchor_rows(bank, anchors), k, cand, bank.n)
 
 
 def knn_labels(bank, k, anchors=None):
@@ -150,7 +181,7 @@ def knn_labels(bank, k, anchors=None):
         raise ConfigError(f"k={k} outside [1, {bank.n}]")
     tops, _ = bank.top_k(k, anchors)
     rows = _anchor_rows(bank, anchors)
-    return _labels(bank, rows, tops.ravel(), np.full(rows.size, k))
+    return LabelSet(rows, np.full(rows.size, k), tops, bank.n)
 
 
 def mplp_predict(bank, i, t):
@@ -175,7 +206,7 @@ def label_quality(pred, identities):
     """
     identities = np.asarray(identities)
     same = identities == identities[pred.anchor]
-    pos = pred.positive_array()
+    pos = np.array(pred.positives)
     hits = int(np.sum(same[pos]))
     precision = hits / len(pos)
     recall = hits / int(np.sum(same))
@@ -186,14 +217,17 @@ def label_quality(pred, identities):
 
 
 def save_labels(labels, path):
-    """One line per sample: `anchor: p1 p2 ...` with sorted positive indices."""
+    """One line per anchor of a LabelSet: `anchor: p1 p2 ...` with its sorted
+    positive indices."""
+    words, ends = labels.indices.astype(str).tolist(), labels.indptr.tolist()
     with open(path, "w") as fh:
-        for lab in labels:
-            fh.write(f"{lab.anchor}: " + " ".join(str(p) for p in lab.positives) + "\n")
+        for a, anchor in enumerate(labels.anchors.tolist()):
+            fh.write(f"{anchor}: " + " ".join(words[ends[a]:ends[a + 1]]) + "\n")
 
 
 def load_labels(path, n):
-    labels = []
+    """The LabelSet in a file written by `save_labels`."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -201,9 +235,11 @@ def load_labels(path, n):
                 continue
             try:
                 head, tail = line.split(":", 1)
-                anchor = int(head)
-                positives = [int(p) for p in tail.split()]
+                row = [int(head)] + [int(p) for p in tail.split()]
+                if not 0 <= min(row) <= max(row) < n:
+                    raise ValueError(f"index outside [0, {n})")
             except ValueError as exc:
                 raise ParseError(f"malformed label line: {line!r}", line=lineno) from exc
-            labels.append(make_label(anchor, positives, n))
-    return labels
+            rows.append(row)
+    return LabelSet([r[0] for r in rows], [len(r) - 1 for r in rows],
+                    [p for r in rows for p in r[1:]], n)

@@ -12,18 +12,22 @@ Variants:
 Gradients are with respect to the batch features only; the bank is a constant.
 All batch losses are averaged over the minibatch.
 
-Hard-negative mining selects with the bank's ranking kernel
-(`bank.select_top_k`): `argpartition` plus a sort of the kept prefix, with
-the package's one tie rule (descending score, then ascending index). The
-sigmoid and softmax are computed in numpy in forms that cannot overflow.
+Each loss reads the batch's labels as one (B, n) positive mask and gets its
+gradient from one (B, n) weight matrix times the bank. Mining ranks the whole
+batch with one `bank.select_top_k` call on the scores with positives masked
+out; row b keeps its first count_b columns, exact by the package's one tie
+rule (descending score, then ascending index). The sigmoid and softmax are
+computed in numpy in forms that cannot overflow.
 """
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bank import select_top_k
 from .errors import ConfigError, require
+from .labels import positive_mask
 
 VARIANTS = ("mcl", "mcl_tau", "mmcl", "mem_softmax_ce")
 
@@ -47,7 +51,7 @@ class LossConfig:
 class LossReport:
     value: float
     grad: np.ndarray  # (B, d), d(loss)/d(features)
-    hard_negatives: list = field(default_factory=list)  # per-sample index arrays
+    hard_negatives: np.ndarray | None = None  # (B, n) mask of the mined classes
 
 
 def _softplus(x):
@@ -68,53 +72,55 @@ def _softmax(scores):
     return shifted - np.log(total), e / total
 
 
-def mine_hard_negatives(scores, label, hard_ratio):
-    """Highest-scoring non-positive classes.
+def _mine(scores, pos, hard_ratio):
+    """Hard negatives of every row of (B, n) scores, positive mask `pos`: row
+    b's are the first count[b] columns of `top`. Returns (top, count); count
+    is floor(#negatives * r / 100), at least 1, 0 if every class is positive."""
+    n_neg = pos.shape[1] - np.count_nonzero(pos, axis=1)
+    count = np.maximum(1, np.floor(n_neg * hard_ratio / 100.0)).astype(np.intp) * (n_neg > 0)
+    # positives score below all other classes and unequally: never kept, never tied at a cut
+    low = 2.0 * min(scores.min(initial=0.0), -1.0) - np.arange(pos.shape[1])
+    return select_top_k(np.where(pos, low, scores), int(count.max(initial=0))), count
 
-    Keeps floor((n - |positives|) * r / 100) classes, at least one. Ties break
-    by ascending index.
-    """
-    n = scores.shape[0]
-    pos = label.positive_array()
-    n_neg = n - pos.size
-    if n_neg == 0:
+
+def mine_hard_negatives(scores, label, hard_ratio):
+    """Highest-scoring non-positive classes of one sample, by the batched
+    miner: floor((n - |positives|) * r / 100) of them, at least one."""
+    pos = positive_mask([label], scores.shape[0])
+    if pos.all():
         raise ConfigError(f"sample {label.anchor} has no negative classes to mine")
-    count = max(1, int(np.floor(n_neg * hard_ratio / 100.0)))
-    masked = np.array(scores, dtype=np.float64)
-    masked[pos] = -np.inf  # never among the count <= n_neg kept
-    return select_top_k(masked[None, :], count)[0]
+    top, count = _mine(np.asarray(scores, dtype=np.float64)[None, :], pos, hard_ratio)
+    return top[0, :count[0]]
 
 
 def mmcl_loss(feats, labels, bank, cfg):
     """Squared-error multi-label loss with hard-negative mining.
 
     Per sample: delta/|P| * sum_p (s_p - 1)^2 + 1/|N| * sum_q (s_q + 1)^2
-    where N is the mined hard-negative set. Value is the batch mean; the
-    gradient carries the same 1/B factor.
+    where N is the mined hard-negative set (empty if every class is
+    positive). Value is the batch mean; the gradient carries the same 1/B
+    factor.
     """
     feats = np.asarray(feats, dtype=np.float64)
     scores = bank.score_against_memory(feats)
     B = feats.shape[0]
-    grad = np.zeros_like(feats)
-    mined = []
-    total = 0.0
-    for b, lab in enumerate(labels):
-        pos = lab.positive_array()
-        wp = cfg.delta / pos.size
-        rp = scores[b, pos] - 1.0
-        total += wp * np.sum(rp**2)
-        grad[b] = 2.0 * wp * rp @ bank.features[pos]
-        if pos.size == bank.n:
-            # every class positive: the negative term is an empty sum
-            mined.append(np.array([], dtype=np.intp))
-            continue
-        neg = mine_hard_negatives(scores[b], lab, cfg.hard_ratio)
-        mined.append(neg)
-        wn = 1.0 / neg.size
-        rn = scores[b, neg] + 1.0
-        total += wn * np.sum(rn**2)
-        grad[b] += 2.0 * wn * rn @ bank.features[neg]
-    return LossReport(value=total / B, grad=grad / B, hard_negatives=mined)
+    pos = positive_mask(labels, bank.n)
+    top, count = _mine(scores, pos, cfg.hard_ratio)
+    kept = np.arange(top.shape[1]) < count[:, None]
+    # (row, class, target, weight) of every positive, then every mined negative
+    p_row, p_col = np.nonzero(pos)
+    n_row, n_col = np.nonzero(kept)[0], top[kept]
+    rows, cols = np.concatenate((p_row, n_row)), np.concatenate((p_col, n_col))
+    target = np.repeat([1.0, -1.0], [p_row.size, n_row.size])
+    weight = np.concatenate(((cfg.delta / np.bincount(p_row, minlength=B))[p_row],
+                             (1.0 / np.maximum(count, 1))[n_row]))
+    resid = scores[rows, cols] - target
+    W = np.zeros_like(scores)
+    W[rows, cols] = 2.0 * weight * resid
+    mined = np.zeros_like(pos)
+    mined[n_row, n_col] = True
+    return LossReport(value=float(np.sum(weight * resid**2)) / B,
+                      grad=(W @ bank.features) / B, hard_negatives=mined)
 
 
 def mcl_tau_loss(feats, labels, bank, cfg):
@@ -122,7 +128,7 @@ def mcl_tau_loss(feats, labels, bank, cfg):
     feats = np.asarray(feats, dtype=np.float64)
     scores = bank.score_against_memory(feats)
     B = feats.shape[0]
-    Y = np.stack([lab.signed() for lab in labels])
+    Y = 2.0 * positive_mask(labels, bank.n) - 1.0
     z = -Y * scores / cfg.tau
     total = float(np.sum(_softplus(z)))
     # d/ds softplus(-y s / tau) = -(y / tau) * sigmoid(-y s / tau)
@@ -141,31 +147,20 @@ def mem_softmax_ce_loss(feats, labels, bank, cfg):
     scores = bank.score_against_memory(feats) / cfg.tau
     B = feats.shape[0]
     logq, q = _softmax(scores)
-    total = 0.0
-    dscores = np.zeros_like(scores)
-    for b, lab in enumerate(labels):
-        pos = lab.positive_array()
-        total += -np.mean(logq[b, pos])
-        target = np.zeros(bank.n)
-        target[pos] = 1.0 / pos.size
-        dscores[b] = (q[b] - target) / cfg.tau
-    grad = dscores @ bank.features
+    pos = positive_mask(labels, bank.n)
+    target = pos / np.count_nonzero(pos, axis=1)[:, None]
+    total = -float(np.sum(target * logq))
+    grad = ((q - target) / cfg.tau) @ bank.features
     return LossReport(value=total / B, grad=grad / B)
 
 
 def compute_loss(feats, labels, bank, cfg):
-    """Dispatch on cfg.variant; `mcl` is `mcl_tau` at tau = 1."""
-    if cfg.variant == "mmcl":
-        return mmcl_loss(feats, labels, bank, cfg)
+    """Dispatch on cfg.variant; `mcl` is `mcl_tau` at tau = 1. `labels` is a
+    (B, n) positive mask or a list of B MultiLabels."""
     if cfg.variant == "mcl":
-        return mcl_tau_loss(feats, labels, bank, LossConfig("mcl_tau", tau=1.0,
-                                                            delta=cfg.delta,
-                                                            hard_ratio=cfg.hard_ratio))
-    if cfg.variant == "mcl_tau":
-        return mcl_tau_loss(feats, labels, bank, cfg)
-    if cfg.variant == "mem_softmax_ce":
-        return mem_softmax_ce_loss(feats, labels, bank, cfg)
-    raise ConfigError(f"unknown loss variant {cfg.variant!r}")
+        cfg = dataclasses.replace(cfg, variant="mcl_tau", tau=1.0)
+    loss = {"mmcl": mmcl_loss, "mcl_tau": mcl_tau_loss, "mem_softmax_ce": mem_softmax_ce_loss}
+    return loss[cfg.variant](feats, labels, bank, cfg)
 
 
 # ---- gradient magnitude sweep -------------------------------------------
@@ -194,12 +189,8 @@ def gradient_sweep(scores, variants=None):
     """
     if variants is None:
         variants = [("mcl_tau", 1.0), ("mcl_tau", 0.1), ("mmcl", 1.0), ("mmcl", 5.0)]
-    rows = []
-    for variant, param in variants:
-        for s in scores:
-            rows.append((variant, param, float(s),
-                         single_class_grad_magnitude(variant, param, float(s))))
-    return rows
+    return [(variant, param, float(s), single_class_grad_magnitude(variant, param, float(s)))
+            for variant, param in variants for s in scores]
 
 
 def write_gradient_sweep(rows, path):

@@ -20,32 +20,29 @@ class EmbeddingModel:
         if in_dim < 1 or out_dim < 1:
             raise ConfigError("model dimensions must be >= 1")
         rng = np.random.default_rng(rng)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.hidden_dim = hidden_dim
+        self.in_dim, self.out_dim, self.hidden_dim = in_dim, out_dim, hidden_dim
+
+        def weights(rows, fan_in):
+            return rng.normal(0.0, 1.0 / np.sqrt(fan_in) if scale is None else scale,
+                              size=(rows, fan_in))
+
+        first = out_dim if hidden_dim is None else hidden_dim
+        self.W1, self.b1 = weights(first, in_dim), np.zeros(first)
+        self.W2 = self.b2 = None
         if hidden_dim is not None:
-            s1 = scale if scale is not None else 1.0 / np.sqrt(in_dim)
-            s2 = scale if scale is not None else 1.0 / np.sqrt(hidden_dim)
-            self.W1 = rng.normal(0.0, s1, size=(hidden_dim, in_dim))
-            self.b1 = np.zeros(hidden_dim)
-            self.W2 = rng.normal(0.0, s2, size=(out_dim, hidden_dim))
-            self.b2 = np.zeros(out_dim)
-        else:
-            s1 = scale if scale is not None else 1.0 / np.sqrt(in_dim)
-            self.W1 = rng.normal(0.0, s1, size=(out_dim, in_dim))
-            self.b1 = np.zeros(out_dim)
-            self.W2 = None
-            self.b2 = None
+            self.W2, self.b2 = weights(out_dim, hidden_dim), np.zeros(out_dim)
 
     # ---- forward ---------------------------------------------------------
 
-    def _pre_normalize(self, X):
+    def _embed(self, X):
+        """(unit embeddings, their pre-normalization norms, hidden activations)."""
         H = X @ self.W1.T + self.b1
-        if self.W2 is None:
-            return H, None
-        A = np.tanh(H)
-        Z = A @ self.W2.T + self.b2
-        return Z, A
+        A = None if self.W2 is None else np.tanh(H)
+        Z = H if A is None else A @ self.W2.T + self.b2
+        norms = np.linalg.norm(Z, axis=1)
+        if np.any(norms <= _NORM_EPS):
+            raise NumericError("zero pre-normalization activation")
+        return Z / norms[:, None], norms, A
 
     def forward(self, X):
         """Unit-norm embeddings for a (B, in_dim) batch or a single vector."""
@@ -55,11 +52,7 @@ class EmbeddingModel:
             X = X[None, :]
         if X.shape[1] != self.in_dim:
             raise ConfigError(f"input dim {X.shape[1]} != model in_dim {self.in_dim}")
-        Z, _ = self._pre_normalize(X)
-        norms = np.linalg.norm(Z, axis=1)
-        if np.any(norms <= _NORM_EPS):
-            raise NumericError("zero pre-normalization activation")
-        F = Z / norms[:, None]
+        F = self._embed(X)[0]
         return F[0] if single else F
 
     # ---- backward --------------------------------------------------------
@@ -75,11 +68,7 @@ class EmbeddingModel:
         if X.ndim == 1:
             X = X[None, :]
             upstream = upstream[None, :]
-        Z, A = self._pre_normalize(X)
-        norms = np.linalg.norm(Z, axis=1)
-        if np.any(norms <= _NORM_EPS):
-            raise NumericError("zero pre-normalization activation")
-        F = Z / norms[:, None]
+        F, norms, A = self._embed(X)
         # through normalization: gz = (g - (g.f) f) / ||z||
         radial = np.sum(upstream * F, axis=1, keepdims=True)
         GZ = (upstream - radial * F) / norms[:, None]

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import MemoryBank, ZERO_NORM_EPS
-from .errors import ConfigError, TrainingDiverged, require
+from .bank import MemoryBank
+from .errors import TrainingDiverged, require
 # The per-anchor predictors are imported so that `trainer.<name>` still
 # resolves for callers and for perfbench/tracing.py, which wraps them here.
-from .labels import (knn_labels, knn_predict, mplp_labels,  # noqa: F401
+from .labels import (LabelSet, knn_labels, knn_predict, mplp_labels,  # noqa: F401
                      mplp_predict, similarity_score_labels,
-                     similarity_score_predict, singleton_label)
+                     similarity_score_predict)
 from .losses import LossConfig, compute_loss
 from .model import EmbeddingModel
 
@@ -100,21 +100,17 @@ def augment(X, cfg, rng):
 def predict_labels(bank, cfg):
     """Run the configured predictor over every anchor of a frozen bank."""
     if cfg.kind == "single":
-        return [singleton_label(i, bank.n) for i in range(bank.n)]
-    if cfg.kind == "mplp":
-        return mplp_labels(bank, cfg.threshold)
-    if cfg.kind == "ss":
-        return similarity_score_labels(bank, cfg.threshold)
+        return LabelSet(np.arange(bank.n), 0, [], bank.n)
     if cfg.kind == "knn":
         return knn_labels(bank, cfg.k)
-    raise ConfigError(f"unknown predictor {cfg.kind!r}")
+    return (mplp_labels if cfg.kind == "mplp" else similarity_score_labels)(bank, cfg.threshold)
 
 
 @dataclass
 class TrainState:
     model: EmbeddingModel
     bank: MemoryBank
-    labels: list
+    labels: LabelSet
     observations: np.ndarray
     rng: np.random.Generator
 
@@ -123,7 +119,7 @@ class TrainState:
 class TrainResult:
     model: EmbeddingModel
     bank: MemoryBank
-    labels: list
+    labels: LabelSet
     metrics: list  # one dict per epoch
 
 
@@ -136,7 +132,7 @@ def init_state(observations, schedule):
                            hidden_dim=schedule.hidden_dim, rng=rng,
                            scale=schedule.init_scale)
     bank = MemoryBank(n, schedule.embed_dim, update_rate=schedule.alpha_start)
-    labels = [singleton_label(i, n) for i in range(n)]
+    labels = LabelSet(np.arange(n), 0, [], n)
     return TrainState(model=model, bank=bank, labels=labels,
                       observations=np.asarray(observations, dtype=np.float64),
                       rng=rng)
@@ -159,8 +155,7 @@ def run_epoch(state, epoch, schedule, loss_cfg, predictor_cfg, augment_cfg):
         idx = order[start : start + schedule.batch_size]
         xb = augment(state.observations[idx], augment_cfg, state.rng)
         feats = state.model.forward(xb)
-        report = compute_loss(feats, [state.labels[i] for i in idx],
-                              state.bank, loss_cfg)
+        report = compute_loss(feats, state.labels.mask(idx), state.bank, loss_cfg)
         if not np.isfinite(report.value):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}, batch start {start}: "
@@ -169,11 +164,7 @@ def run_epoch(state, epoch, schedule, loss_cfg, predictor_cfg, augment_cfg):
         grads = state.model.backward(xb, report.grad)
         state.model.sgd_step(grads, lr)
         # memory refresh stores the augmented-view embedding seen this batch
-        for i, f in zip(idx, feats):
-            if state.bank.row_norm(int(i)) <= ZERO_NORM_EPS:
-                state.bank.overwrite_row(int(i), f)
-            else:
-                state.bank.update_row(int(i), f, alpha)
+        state.bank.update_rows(idx, feats, alpha)
         losses.append(report.value)
     state.bank.epoch = epoch + 1
     state.bank.update_rate = alpha
@@ -207,7 +198,7 @@ def train(observations, schedule, loss_cfg=None, predictor_cfg=None,
             "label_recall": float("nan"),
             "rank1": float("nan"),
             "mAP": float("nan"),
-            "mean_positives": float(np.mean([len(l.positives) for l in state.labels])),
+            "mean_positives": float(np.mean(np.diff(state.labels.indptr))),
         }
         if eval_hook is not None:
             row.update(eval_hook(state, epoch))

@@ -1,9 +1,12 @@
 """Memory bank: init, momentum updates, similarity, rank lists, snapshots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memlabel import ConfigError, MemoryBank, NumericError
+from memlabel.bank import ZERO_NORM_EPS
 from memlabel.errors import ParseError
 
 
@@ -85,6 +88,51 @@ def test_update_errors():
         bank.update_row(0, np.array([1.0, 0.0]), 1.5)
     with pytest.raises(ConfigError):
         bank.update_row(0, np.array([1.0, 0.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_update_rows_matches_row_loop(alpha):
+    # half the rows cold, one of them fed a zero feature (stored as-is)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        bank = MemoryBank(10, 4)
+        for i in range(0, 10, 2):
+            bank.overwrite_row(i, rng.normal(size=4))
+        rows = rng.permutation(10)[:7]
+        feats = rng.normal(size=(7, 4))
+        feats[np.flatnonzero(rows % 2)[0]] = 0.0
+        expected = bank.features.copy()
+        for i, f in zip(rows, feats):  # the per-row update, written out
+            old = expected[i]
+            if np.linalg.norm(old) <= ZERO_NORM_EPS:
+                new = f
+            elif alpha == 0.0:
+                continue
+            else:
+                new = alpha * f + (1.0 - alpha) * old
+            norm = np.linalg.norm(new)
+            expected[i] = new / norm if norm > ZERO_NORM_EPS else new
+        bank.update_rows(rows, feats, alpha)
+        np.testing.assert_array_equal(bank.features, expected)
+
+
+def test_update_rows_errors_write_nothing():
+    bank = warm_bank(np.random.default_rng(13), 5, 3)
+    before = bank.features.copy()
+    good = np.ones((2, 3))
+    bad = good.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericError, match="sample 4"):
+        bank.update_rows([1, 4], bad, 0.5)
+    with pytest.raises(ConfigError):
+        bank.update_rows([1, 4], good, 1.5)
+    with pytest.raises(ConfigError):
+        bank.update_rows([1, 1], good, 0.5)  # a row twice
+    with pytest.raises(ConfigError):
+        bank.update_rows([1], good, 0.5)
+    with pytest.raises(IndexError):
+        bank.update_rows([1, 5], good, 0.5)
+    np.testing.assert_array_equal(bank.features, before)
 
 
 def test_rows_unit_norm_after_update_sequences():
@@ -240,3 +288,25 @@ def test_bank_load_rejects_non_finite_value(tmp_path):
     with pytest.raises(ParseError) as err:
         MemoryBank.load(path)
     assert err.value.line == 3
+
+
+def test_bank_load_rejects_empty_header(tmp_path):
+    path = tmp_path / "bank.csv"
+    path.write_text("0,3,0,0.5")
+    with pytest.raises(ParseError) as err:
+        MemoryBank.load(path)
+    assert err.value.line == 1
+
+
+def test_bank_load_sizes_memory_from_rows_read(tmp_path):
+    # a header claiming 10^12 rows must not allocate 10^12 x 3 values
+    path = tmp_path / "bank.csv"
+    path.write_text("1000000000000,3,0,0.5\n1,0,0\n0,1,0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated"):
+            MemoryBank.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

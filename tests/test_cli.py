@@ -152,6 +152,16 @@ def test_label_curve_names_the_configured_predictor(tmp_path):
     assert lines[0].startswith("0,single,")
 
 
+def test_knn_label_curve_has_one_knn_series(tmp_path):
+    # the KNN baseline would repeat the trained KNN labels, so it is left out
+    cfg = tmp_path / "knn.cfg"
+    cfg.write_text(SMALL_CFG + "predictor = knn\nknn_k = 4\n")
+    out = str(tmp_path / "run")
+    assert main(["train", "--config", str(cfg), "--out", out]) == 0
+    lines = open(os.path.join(out, "label_curve.csv")).read().splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [[str(e), "knn"] for e in range(6)]
+
+
 # (command, config lines, name in the error, value as written). knn_k is
 # checked against the 16 samples once they exist, under its field name k.
 BAD_VALUES = [

@@ -1,9 +1,12 @@
 """Retrieval metrics: CMC/mAP against a naive reference, camera exclusion,
 tie handling, and report files."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import memlabel.bank as bank_module
 from memlabel import ConfigError, MetricsReport, RetrievalSplit, evaluate
 from memlabel.data import SampleRecord
 from memlabel.evaluation import (label_curve, split_for_benchmark,
@@ -100,6 +103,66 @@ def test_oracle_equivalence_random_splits():
         np.testing.assert_allclose(report.cmc, cmc, atol=1e-12)
         assert abs(report.map - mAP) <= 1e-12
         assert report.skipped_queries == skipped
+
+
+def lexsort_reference(split):
+    """Per-query loop with a full lexsort of the kept gallery: (cmc, per-query
+    AP, skipped query indices)."""
+    Q, G = split.query_features, split.gallery_features
+    cmc_hits, aps, skipped = np.zeros(G.shape[0]), [], []
+    for q in range(Q.shape[0]):
+        keep = np.ones(G.shape[0], dtype=bool)
+        if split.query_cams is not None:
+            keep &= ~((split.gallery_ids == split.query_ids[q])
+                      & (split.gallery_cams == split.query_cams[q]))
+        idx = np.flatnonzero(keep)
+        sims = Q[q] @ G[idx].T
+        order = idx[np.lexsort((idx, -sims))]
+        ranks = np.flatnonzero(split.gallery_ids[order] == split.query_ids[q])
+        if ranks.size == 0:
+            skipped.append(q)
+            continue
+        cmc_hits[ranks[0]:] += 1
+        aps.append(float(np.mean((np.arange(ranks.size) + 1) / (ranks + 1))))
+    return cmc_hits / max(1, len(aps)), np.array(aps), skipped
+
+
+@pytest.mark.parametrize("queries_per_block", [1, 3, None])
+def test_blocked_evaluate_matches_lexsort_loop(monkeypatch, caplog, queries_per_block):
+    # features in {-2, ..., 2} / 4 give exact score ties; query identity 5
+    # never occurs in the gallery, so such queries are skipped
+    rng = np.random.default_rng(22)
+    checked = 0
+    for trial in range(40):
+        n_q, n_g = int(rng.integers(1, 30)), int(rng.integers(1, 50))
+        split = RetrievalSplit(
+            query_features=rng.integers(-2, 3, size=(n_q, 3)) / 4.0,
+            query_ids=rng.integers(0, 6, size=n_q),
+            gallery_features=rng.integers(-2, 3, size=(n_g, 3)) / 4.0,
+            gallery_ids=rng.integers(0, 5, size=n_g),
+        )
+        if trial % 2:
+            split.query_cams = rng.integers(0, 2, size=n_q)
+            split.gallery_cams = rng.integers(0, 2, size=n_g)
+        entries = (queries_per_block or n_q) * n_g
+        monkeypatch.setattr(bank_module, "RANK_BLOCK_ENTRIES", entries)
+        cmc, aps, skipped = lexsort_reference(split)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="memlabel.evaluation"):
+            if not aps.size:
+                with pytest.raises(ConfigError):
+                    evaluate(split)
+                continue
+            report = evaluate(split)
+        np.testing.assert_array_equal(report.cmc, cmc)
+        # AP sums a query's precisions in gallery order, not rank order
+        np.testing.assert_allclose(report.per_query_ap, aps, rtol=0, atol=1e-15)
+        assert report.map == pytest.approx(float(np.mean(aps)), rel=0, abs=1e-15)
+        assert report.skipped_queries == len(skipped)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"query {q} has no valid gallery match; skipped" for q in skipped]
+        checked += 1
+    assert checked >= 30
 
 
 def test_camera_exclusion_blocks_same_camera_match():

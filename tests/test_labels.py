@@ -8,7 +8,7 @@ from memlabel import (ConfigError, MemoryBank, MultiLabel, filter_by_threshold,
                       knn_predict, label_quality, mplp_predict,
                       similarity_score_predict, singleton_label)
 from memlabel.errors import ParseError
-from memlabel.labels import load_labels, make_label, save_labels
+from memlabel.labels import LabelSet, load_labels, make_label, positive_mask, save_labels
 
 
 def unit(v):
@@ -51,16 +51,18 @@ def test_multilabel_requires_anchor():
         MultiLabel(anchor=0, positives=(1, 2), n=4)
 
 
-def test_signed_view():
+def test_positive_mask():
     lab = make_label(1, [3], 4)
-    np.testing.assert_array_equal(lab.signed(), [-1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(positive_mask([lab], 4), [[False, True, False, True]])
     assert lab.positives == (1, 3)
+    mask = np.array([[True, False]])
+    assert positive_mask(mask, 2) is mask
 
 
 def test_singleton_label():
     lab = singleton_label(2, 5)
     assert lab.positives == (2,)
-    np.testing.assert_array_equal(lab.signed(), [-1, -1, 1, -1, -1])
+    np.testing.assert_array_equal(positive_mask([lab], 5)[0], [0, 0, 1, 0, 0])
 
 
 # ---- filter_by_threshold -------------------------------------------------
@@ -249,9 +251,10 @@ def test_labels_roundtrip(tmp_path):
     labels = [make_label(0, [1, 2], 4), singleton_label(1, 4),
               make_label(2, [0], 4), singleton_label(3, 4)]
     path = tmp_path / "labels.csv"
-    save_labels(labels, path)
+    save_labels(LabelSet([0, 1, 2, 3], [2, 0, 1, 0], [1, 2, 0], 4), path)
+    assert path.read_text() == "0: 0 1 2\n1: 1\n2: 0 2\n3: 3\n"
     loaded = load_labels(path, 4)
-    assert [l.positives for l in loaded] == [l.positives for l in labels]
+    assert list(loaded) == labels
 
 
 def test_labels_parse_error(tmp_path):
@@ -271,9 +274,41 @@ def test_mean_quality_matches_per_label_loop():
     for _ in range(20):
         n = int(rng.integers(2, 40))
         ids = rng.integers(0, 5, size=n)
-        labels = [make_label(i, rng.choice(n, size=int(rng.integers(0, 6))), n)
-                  for i in range(n)]
-        pairs = [label_quality(lab, ids) for lab in labels]
+        extra = [rng.choice(n, size=int(rng.integers(0, 6))) for _ in range(n)]
+        labels = LabelSet(np.arange(n), [e.size for e in extra], np.concatenate(extra), n)
+        pairs = [label_quality(make_label(i, e, n), ids) for i, e in enumerate(extra)]
         expected = (float(np.mean([p for p, _ in pairs])),
                     float(np.mean([r for _, r in pairs])))
         assert _mean_quality(labels, ids) == expected
+
+
+# ---- LabelSet ------------------------------------------------------------
+
+
+def test_label_set_rows_are_the_multilabels_of_make_label():
+    # unsorted positives with repeats, the anchor sometimes missing
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(0, 10))
+        anchors = rng.integers(n, size=m)
+        counts = rng.integers(0, 6, size=m)
+        positives = rng.integers(n, size=int(counts.sum()))
+        labels = LabelSet(anchors, counts, positives, n)
+        expected = [make_label(a, p, n) for a, p in
+                    zip(anchors.tolist(), np.split(positives, np.cumsum(counts)[:-1]))]
+        assert list(labels) == expected
+        assert [labels[a] for a in range(-m, 0)] == expected
+        assert np.diff(labels.indptr).tolist() == [len(lab.positives) for lab in expected]
+        rows = rng.permutation(m)[:int(rng.integers(0, m + 1))]
+        np.testing.assert_array_equal(labels.mask(rows),
+                                      positive_mask([expected[r] for r in rows], n))
+
+
+def test_label_set_rejects_out_of_range_index(tmp_path):
+    with pytest.raises(ConfigError):
+        LabelSet([0], [1], [4], 4)
+    path = tmp_path / "labels.csv"
+    path.write_text("0: 0\n1: 1 4\n")
+    with pytest.raises(ParseError) as err:
+        load_labels(path, 4)
+    assert err.value.line == 2

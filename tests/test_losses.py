@@ -195,7 +195,8 @@ def test_mmcl_nonnegative_and_mined_disjoint():
     report = mmcl_loss(feats, labels, bank, LossConfig("mmcl"))
     assert report.value >= 0.0
     for lab, mined in zip(labels, report.hard_negatives):
-        assert set(lab.positives).isdisjoint(mined)
+        assert set(lab.positives).isdisjoint(np.flatnonzero(mined))
+        assert np.count_nonzero(mined) == max(1, (bank.n - len(lab.positives)) // 100)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -267,3 +268,52 @@ def test_gradient_sweep_table(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "variant,param,score,grad_magnitude"
     assert len(lines) == 1 + len(rows)
+
+
+# ---- batched mmcl against the per-sample formula ---------------------------
+
+
+def brute_force_mmcl(feats, labels, bank, delta, r):
+    """The loss one sample at a time, with a plain sort of each sample's
+    negatives: (value, grad, mined negatives per sample, ties at the cut)."""
+    S = feats @ bank.features.T
+    total, grad, mined, ties = 0.0, np.zeros_like(feats), [], 0
+    for b, lab in enumerate(labels):
+        pos = list(lab.positives)
+        negs = sorted((j for j in range(bank.n) if j not in pos), key=lambda j: (-S[b, j], j))
+        neg = negs[:max(1, int(np.floor(len(negs) * r / 100.0)))] if negs else []
+        ties += 0 < len(neg) < len(negs) and S[b, neg[-1]] == S[b, negs[len(neg)]]
+        wp = delta / len(pos)
+        total += wp * np.sum((S[b, pos] - 1.0) ** 2)
+        grad[b] = 2.0 * wp * (S[b, pos] - 1.0) @ bank.features[pos]
+        if neg:
+            wn = 1.0 / len(neg)
+            total += wn * np.sum((S[b, neg] + 1.0) ** 2)
+            grad[b] += 2.0 * wn * (S[b, neg] + 1.0) @ bank.features[neg]
+        mined.append(set(neg))
+    return total / len(labels), grad / len(labels), mined, ties
+
+
+@pytest.mark.parametrize("hard_ratio", [1.0, 10.0, 33.0, 100.0])
+def test_batched_mmcl_matches_per_sample_loop(hard_ratio):
+    # scores are multiples of 1/16 with many exact ties; |P| is ragged and one
+    # sample has every class positive
+    rng = np.random.default_rng(31)
+    ties = 0
+    for _ in range(30):
+        n, d, batch = int(rng.integers(2, 40)), 4, int(rng.integers(1, 9))
+        bank = MemoryBank(n, d)
+        bank.features[:] = rng.integers(-2, 3, size=(n, d)) / 4.0
+        feats = rng.integers(-2, 3, size=(batch, d)) / 4.0
+        labels = [make_label(int(rng.integers(n)),
+                             rng.choice(n, size=int(rng.integers(0, n)), replace=False), n)
+                  for _ in range(batch)]
+        labels[-1] = make_label(0, range(n), n)
+        cfg = LossConfig("mmcl", delta=5.0, hard_ratio=hard_ratio)
+        report = compute_loss(feats, labels, bank, cfg)
+        value, grad, mined, t = brute_force_mmcl(feats, labels, bank, 5.0, hard_ratio)
+        ties += t
+        assert report.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(report.grad, grad, rtol=0, atol=1e-12)
+        assert [set(np.flatnonzero(row)) for row in report.hard_negatives] == mined
+    assert hard_ratio == 100.0 or ties > 0
